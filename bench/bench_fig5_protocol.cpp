@@ -91,7 +91,7 @@ void print_protocol_sweeps() {
 // so the benchmark can iterate indefinitely.
 struct BenchWorld {
   std::unique_ptr<SimulatedDeployment> world;
-  Auditor::FileRecord record;
+  FileRecord record;
 
   BenchWorld() { rebuild(); }
   void rebuild() {

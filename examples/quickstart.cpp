@@ -49,7 +49,7 @@ int main() {
   // The TPA is programmed against the polymorphic audit API: every flavour
   // (MAC, sentinel, dynamic) exposes the same make_request/verify pair
   // through core::AuditScheme, which is also what AuditService schedules.
-  AuditScheme& tpa = world.scheme();
+  AuditScheme& tpa = world.auditor();
   const std::uint32_t k = 20;
   std::printf("running GeoProof audit (scheme '%s') with k = %u timed "
               "challenges...\n",

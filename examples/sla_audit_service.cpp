@@ -71,7 +71,7 @@ int main() {
     site.world = make_world(site.name, site.location, site.disk);
     const FileRecord record = site.world->upload(replica, next_file_id++);
     site.registration =
-        service.add(site.world->scheme(), site.world->verifier(), record, 15,
+        service.add(site.world->auditor(), site.world->verifier(), record, 15,
                     "mac/" + site.name);
   }
 

@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "common/rng.hpp"
-#include "core/auditor.hpp"
+#include "core/scheme.hpp"
 #include "core/verifier.hpp"
 #include "net/tcp.hpp"
 #include "por/encoder.hpp"
@@ -54,15 +54,14 @@ int main() {
   vcfg.position = {-27.4698, 153.0251};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor::Config acfg;
-  acfg.por = params;
+  AuditorConfig acfg;
   acfg.master_key = master;
   acfg.verifier_pk = verifier.public_key();
   acfg.expected_position = vcfg.position;
   // Budget: generous loopback allowance + 15 ms look-up + slack.
   acfg.policy = LatencyPolicy{Millis{10.0}, Millis{15.0}, Millis{5.0}};
-  Auditor auditor(acfg);
-  const Auditor::FileRecord record{file.file_id, file.n_segments};
+  MacAuditScheme auditor(acfg, params);
+  const FileRecord record{file.file_id, file.n_segments};
   std::printf("budget: %.1f ms per round (wall clock)\n\n",
               acfg.policy.max_round_trip().count());
 

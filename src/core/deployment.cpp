@@ -25,18 +25,17 @@ SimulatedDeployment::SimulatedDeployment(DeploymentConfig config)
   }
   verifier_ = std::make_unique<VerifierDevice>(vcfg, *lan_channel_, timer_);
 
-  Auditor::Config acfg;
-  acfg.por = config_.por;
+  AuditorConfig acfg;
   acfg.master_key = config_.master_key;
   acfg.verifier_pk = verifier_->public_key();
   acfg.expected_position = config_.provider.location;
   acfg.position_tolerance = config_.position_tolerance;
   acfg.policy = config_.policy;
-  auditor_ = std::make_unique<Auditor>(acfg);
+  auditor_ = std::make_unique<MacAuditScheme>(acfg, config_.por);
 }
 
 FileRecord SimulatedDeployment::upload(BytesView file,
-                                                std::uint64_t file_id) {
+                                       std::uint64_t file_id) {
   const por::PorEncoder encoder(config_.por);
   por::EncodedFile encoded = encoder.encode(file, file_id, config_.master_key);
   provider_.store(encoded);
@@ -47,9 +46,7 @@ FileRecord SimulatedDeployment::upload(BytesView file,
 
 AuditReport SimulatedDeployment::run_audit(const FileRecord& file,
                                            std::uint32_t k) {
-  const AuditRequest request = auditor_->make_request(file, k);
-  const SignedTranscript transcript = verifier_->run_audit(request);
-  return auditor_->verify(file, transcript);
+  return auditor_->audit_once(file, k, *verifier_);
 }
 
 CloudProvider& SimulatedDeployment::deploy_remote_relay(

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "core/auditor.hpp"
 #include "core/provider.hpp"
+#include "core/scheme.hpp"
 #include "core/verifier.hpp"
 #include "net/channel.hpp"
 #include "por/encoder.hpp"
@@ -49,10 +49,7 @@ class SimulatedDeployment {
   EventQueue& queue() { return queue_; }
   CloudProvider& provider() { return provider_; }
   VerifierDevice& verifier() { return *verifier_; }
-  Auditor& auditor() { return *auditor_; }
-  /// The TPA through the polymorphic audit API (what AuditService and the
-  /// sharded engine program against).
-  AuditScheme& scheme() { return *auditor_; }
+  MacAuditScheme& auditor() { return *auditor_; }
   const DeploymentConfig& config() const { return config_; }
 
   /// Owner-side setup: encode F, upload F~ to the provider, register the
@@ -100,7 +97,7 @@ class SimulatedDeployment {
   std::unique_ptr<net::SimRequestChannel> lan_channel_;
   net::SimAuditTimer timer_;
   std::unique_ptr<VerifierDevice> verifier_;
-  std::unique_ptr<Auditor> auditor_;
+  std::unique_ptr<MacAuditScheme> auditor_;
   std::map<std::uint64_t, por::EncodedFile> encoded_files_;
   std::vector<std::unique_ptr<CloudProvider>> remotes_;
 };

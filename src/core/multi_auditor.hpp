@@ -14,7 +14,6 @@
 
 #include <map>
 
-#include "core/auditor.hpp"
 #include "core/deployment.hpp"
 #include "core/gps.hpp"
 #include "geoloc/schemes.hpp"

@@ -437,7 +437,7 @@ void ShardedAuditEngine::dispatch_to_shards(
   // (and directly comparable) to AuditService::run_all.
   if (options_.shards == 1) {
     guarded(0);
-  } else if (options_.parked_workers) {
+  } else {
     ensure_pool();
     {
       MutexLock lock(pool_mu_);
@@ -450,15 +450,7 @@ void ShardedAuditEngine::dispatch_to_shards(
     MutexLock lock(pool_mu_);
     while (pool_remaining_ != 0) pool_done_cv_.wait(lock.native_lock());
     pool_job_ = nullptr;
-  } else {
-    // Historical respawn-per-dispatch mode, kept for the bench comparison.
-    std::vector<std::jthread> workers;
-    workers.reserve(options_.shards - 1);
-    for (std::size_t s = 1; s < options_.shards; ++s) {
-      workers.emplace_back([&guarded, s] { guarded(s); });
-    }
-    guarded(0);
-  }  // jthreads join here
+  }
   for (const std::exception_ptr& error : worker_errors) {
     if (error) std::rethrow_exception(error);
   }

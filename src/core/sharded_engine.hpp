@@ -128,13 +128,6 @@ class ShardedAuditEngine {
     std::function<void(std::uint64_t file_id, const AuditReport& report,
                        std::size_t shard)>
         report_hook;
-    /// Reuse one set of parked worker jthreads across sweeps (spawned
-    /// lazily on the first multi-shard dispatch, parked on a condition
-    /// variable between dispatches). Off = the historical behaviour of
-    /// spawning shards-1 fresh jthreads per sweep, kept selectable so
-    /// bench_sharded_engine can measure the respawn-vs-parked delta.
-    /// Irrelevant at 1 shard: everything runs on the caller.
-    bool parked_workers = true;
     /// Observability registry (not owned; must outlive the engine). When
     /// set, the engine registers a stats snapshot plus a queued-work gauge
     /// (geoproof_engine_queue_depth), a per-audit latency histogram
@@ -189,10 +182,9 @@ class ShardedAuditEngine {
   /// Returns the number of audits that passed.
   ///
   /// Shard 0 always runs on the caller, so 1-shard sweeps are thread-free
-  /// and bit-identical to AuditService::run_all. With parked_workers
-  /// (default) the shards-1 worker jthreads are spawned once and reused
-  /// across sweeps; with it off, each sweep respawns them (the historical
-  /// behaviour, measurable in bench_sharded_engine's respawn rows).
+  /// and bit-identical to AuditService::run_all. The shards-1 worker
+  /// jthreads are spawned on the first multi-shard sweep and parked
+  /// between sweeps.
   std::uint64_t sweep_once();
 
   /// Run `job(shard)` exactly once per shard, fanned across the engine's
@@ -227,7 +219,7 @@ class ShardedAuditEngine {
 
   /// Fan `job` across all shards (shard 0 on the caller), collecting one
   /// exception_ptr per shard and rethrowing the first after everyone has
-  /// returned. Chooses parked pool vs per-dispatch jthreads per options.
+  /// returned. Shards 1.. run on the parked worker pool.
   void dispatch_to_shards(const std::function<void(std::size_t)>& job);
   void ensure_pool();
   void pool_worker(std::size_t shard);
@@ -267,10 +259,10 @@ class ShardedAuditEngine {
   std::map<const VerifierDevice*, std::unique_ptr<std::mutex>> verifier_mu_;
   std::chrono::steady_clock::time_point epoch_;
 
-  /// Parked worker pool (parked_workers mode, shards > 1): one jthread per
-  /// non-zero shard, spawned on first dispatch, parked on pool_cv_ between
-  /// dispatches. pool_job_ points at the current dispatch's job for the
-  /// duration of one epoch; pool_remaining_ counts workers still in it.
+  /// Parked worker pool (shards > 1): one jthread per non-zero shard,
+  /// spawned on first dispatch, parked on pool_cv_ between dispatches.
+  /// pool_job_ points at the current dispatch's job for the duration of
+  /// one epoch; pool_remaining_ counts workers still in it.
   /// All pool protocol state is guarded by pool_mu_ (machine-checked under
   /// -Wthread-safety); the condition variables wait on its native handle.
   std::vector<std::jthread> pool_;

@@ -21,7 +21,7 @@ DeploymentConfig fast_config() {
 
 struct ServiceFixture {
   SimulatedDeployment world{fast_config()};
-  Auditor::FileRecord record;
+  FileRecord record;
   ServiceFixture() {
     Rng rng(3);
     record = world.upload(rng.next_bytes(30000), 1);

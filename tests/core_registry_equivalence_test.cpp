@@ -248,7 +248,7 @@ TEST(RegistryEquivalence, BoundedRingKeepsCountersExact) {
   const auto drive = [&cfg](AuditService::Options options) {
     SimulatedDeployment world(cfg);
     Rng rng(3);
-    const Auditor::FileRecord record = world.upload(rng.next_bytes(30000), 1);
+    const FileRecord record = world.upload(rng.next_bytes(30000), 1);
     AuditService service(options);
     service.add(world.auditor(), world.verifier(), record, 10);
     (void)service.run_once(world.clock(), 1);

@@ -1,18 +1,20 @@
 // End-to-end tests of the sentinel-variant GeoProof (§IV's original
 // Juels-Kaliski flavour under the timed protocol).
-#include "core/sentinel_geoproof.hpp"
-
 #include <gtest/gtest.h>
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/provider.hpp"
+#include "core/scheme.hpp"
+#include "core/verifier.hpp"
 #include "net/channel.hpp"
 
 namespace geoproof::core {
 namespace {
 
 const Bytes kMaster = bytes_of("sentinel geoproof master");
+/// The sentinel suite's own nonce seed (AuditorConfig defaults to 0xa0d1).
+constexpr std::uint64_t kNonceSeed = 0x5e17;
 
 struct SentinelWorld {
   por::SentinelParams params{.block_size = 16, .n_sentinels = 200};
@@ -21,7 +23,7 @@ struct SentinelWorld {
   std::unique_ptr<net::SimRequestChannel> channel;
   net::SimAuditTimer timer{clock};
   std::unique_ptr<VerifierDevice> verifier;
-  std::unique_ptr<SentinelAuditor> auditor;
+  std::unique_ptr<SentinelAuditScheme> auditor;
   FileRecord record;
   por::SentinelEncoded encoded;
 
@@ -43,13 +45,13 @@ struct SentinelWorld {
     vcfg.position = site;
     verifier = std::make_unique<VerifierDevice>(vcfg, *channel, timer);
 
-    SentinelAuditor::Config acfg;
-    acfg.params = params;
+    AuditorConfig acfg;
     acfg.master_key = kMaster;
     acfg.verifier_pk = verifier->public_key();
     acfg.expected_position = site;
     acfg.policy = LatencyPolicy::for_disk(storage::wd2500jd());
-    auditor = std::make_unique<SentinelAuditor>(acfg);
+    acfg.nonce_seed = kNonceSeed;
+    auditor = std::make_unique<SentinelAuditScheme>(acfg, params);
   }
 
   AuditReport run(unsigned count) {
@@ -136,13 +138,13 @@ TEST(SentinelGeoProof, TimingStillEnforced) {
   // Same audit, but the provider's disk is replaced by an implausibly slow
   // budget: every round violates.
   SentinelWorld world;
-  SentinelAuditor::Config acfg;
-  acfg.params = world.params;
+  AuditorConfig acfg;
   acfg.master_key = kMaster;
   acfg.verifier_pk = world.verifier->public_key();
   acfg.expected_position = {-27.47, 153.02};
   acfg.policy = LatencyPolicy{Millis{0.01}, Millis{0.01}, Millis{0}};
-  SentinelAuditor strict(acfg);
+  acfg.nonce_seed = kNonceSeed;
+  SentinelAuditScheme strict(acfg, world.params);
   const auto request = strict.make_request(world.record, 5);
   const SignedTranscript transcript = world.verifier->run_audit(request);
   const AuditReport report = strict.verify(world.record, transcript);
@@ -151,9 +153,11 @@ TEST(SentinelGeoProof, TimingStillEnforced) {
 }
 
 TEST(SentinelGeoProof, ConfigValidated) {
-  SentinelAuditor::Config cfg;
+  AuditorConfig cfg;
   cfg.master_key = {};
-  EXPECT_THROW(SentinelAuditor{cfg}, InvalidArgument);
+  cfg.nonce_seed = kNonceSeed;
+  EXPECT_THROW((SentinelAuditScheme{cfg, por::SentinelParams{}}),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
-#include "core/auditor.hpp"
+#include "core/scheme.hpp"
 #include "core/transcript.hpp"
 #include "core/verifier.hpp"
 #include "net/tcp.hpp"
@@ -52,17 +52,16 @@ struct TcpWorld {
   }
 };
 
-Auditor::Config auditor_config(const TcpWorld& world,
-                               const crypto::Digest& verifier_pk,
-                               Millis max_lookup) {
-  Auditor::Config cfg;
-  cfg.por = world.params;
+MacAuditScheme make_auditor(const TcpWorld& world,
+                            const crypto::Digest& verifier_pk,
+                            Millis max_lookup) {
+  AuditorConfig cfg;
   cfg.master_key = kMaster;
   cfg.verifier_pk = verifier_pk;
   cfg.expected_position = {-27.47, 153.02};
   // Generous network budget: loopback plus scheduler noise.
   cfg.policy = LatencyPolicy{Millis{20.0}, max_lookup, Millis{5.0}};
-  return cfg;
+  return MacAuditScheme(cfg, world.params);
 }
 
 TEST(TcpIntegration, HonestAuditOverRealSockets) {
@@ -73,8 +72,9 @@ TEST(TcpIntegration, HonestAuditOverRealSockets) {
   vcfg.position = {-27.47, 153.02};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor auditor(auditor_config(world, verifier.public_key(), Millis{50.0}));
-  const Auditor::FileRecord record{world.file.file_id, world.file.n_segments};
+  MacAuditScheme auditor =
+      make_auditor(world, verifier.public_key(), Millis{50.0});
+  const FileRecord record{world.file.file_id, world.file.n_segments};
 
   const AuditRequest request = auditor.make_request(record, 15);
   const SignedTranscript transcript = verifier.run_audit(request);
@@ -95,8 +95,9 @@ TEST(TcpIntegration, SlowLookupsCaughtByWallClock) {
   vcfg.position = {-27.47, 153.02};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor auditor(auditor_config(world, verifier.public_key(), Millis{10.0}));
-  const Auditor::FileRecord record{world.file.file_id, world.file.n_segments};
+  MacAuditScheme auditor =
+      make_auditor(world, verifier.public_key(), Millis{10.0});
+  const FileRecord record{world.file.file_id, world.file.n_segments};
 
   const AuditRequest request = auditor.make_request(record, 5);
   const SignedTranscript transcript = verifier.run_audit(request);
@@ -116,8 +117,9 @@ TEST(TcpIntegration, TranscriptSurvivesWireSerialization) {
   vcfg.position = {-27.47, 153.02};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor auditor(auditor_config(world, verifier.public_key(), Millis{50.0}));
-  const Auditor::FileRecord record{world.file.file_id, world.file.n_segments};
+  MacAuditScheme auditor =
+      make_auditor(world, verifier.public_key(), Millis{50.0});
+  const FileRecord record{world.file.file_id, world.file.n_segments};
 
   const AuditRequest request =
       AuditRequest::deserialize(auditor.make_request(record, 8).serialize());
@@ -135,8 +137,9 @@ TEST(TcpIntegration, CorruptSegmentDetectedOverWire) {
   vcfg.position = {-27.47, 153.02};
   VerifierDevice verifier(vcfg, channel, timer);
 
-  Auditor auditor(auditor_config(world, verifier.public_key(), Millis{50.0}));
-  const Auditor::FileRecord record{world.file.file_id, world.file.n_segments};
+  MacAuditScheme auditor =
+      make_auditor(world, verifier.public_key(), Millis{50.0});
+  const FileRecord record{world.file.file_id, world.file.n_segments};
 
   // Challenge everything so segment 4 is definitely fetched.
   const AuditRequest request = auditor.make_request(
