@@ -7,12 +7,21 @@
 //   relay_radius_km     - median confidence radius the relay attack earns
 //   byz_reject_accuracy - fraction of lying vantages ejected (median)
 //   byz_false_reject    - honest vantages wrongly ejected (median count)
+//
+// BM_LocateEstimate/V/L isolates the solver: one Multilaterator::estimate
+// over V noisy vantage ranges (1500 km spiral fleet, 10 km range noise),
+// L of them lying by +1500 km. Reported per row:
+//   error_km  - distance from the estimate to the true position
+//   outliers  - vantages the trim loop ejected (L when it works)
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/sharded_engine.hpp"
+#include "geoloc/schemes.hpp"
 #include "locate/fleet.hpp"
+#include "locate/multilaterate.hpp"
 #include "net/geo.hpp"
 
 namespace {
@@ -87,6 +96,43 @@ void BM_MulticloudLocate(benchmark::State& state) {
 }
 BENCHMARK(BM_MulticloudLocate)->Arg(50)->Arg(100)->Arg(200)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_LocateEstimate(benchmark::State& state) {
+  const unsigned vantages = static_cast<unsigned>(state.range(0));
+  const std::size_t liars = static_cast<std::size_t>(state.range(1));
+  const net::GeoPoint center = net::places::brisbane();
+  Rng rng(0x10ca7e + vantages);
+  const net::GeoPoint truth = net::destination(
+      center, 360.0 * rng.next_double(), Kilometers{400.0 * rng.next_double()});
+  std::vector<VantageRange> ranges;
+  for (const geoloc::Landmark& lm :
+       geoloc::spiral_landmarks(center, Kilometers{1500.0}, vantages)) {
+    VantageRange r;
+    r.vantage = lm;
+    r.distance = Kilometers{net::haversine(lm.pos, truth).value +
+                            10.0 * rng.next_gaussian()};
+    r.sigma = Kilometers{10.0};
+    ranges.push_back(r);
+  }
+  // Liars sit on the outer rings, where a lie is material.
+  for (std::size_t k = 0; k < liars; ++k) {
+    ranges[ranges.size() - 1 - 2 * k].distance.value += 1500.0;
+  }
+
+  const Multilaterator solver;
+  PositionEstimate estimate;
+  for (auto _ : state) {
+    estimate = solver.estimate(ranges);
+    benchmark::DoNotOptimize(estimate);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["error_km"] =
+      net::haversine(estimate.position, truth).value;
+  state.counters["outliers"] = static_cast<double>(estimate.outliers.size());
+}
+BENCHMARK(BM_LocateEstimate)
+    ->ArgsProduct({{4, 8, 32, 200}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

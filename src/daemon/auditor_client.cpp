@@ -1,7 +1,6 @@
 #include "daemon/auditor_client.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "common/errors.hpp"
@@ -160,16 +159,8 @@ FleetReport AuditorClient::run() {
     }
 
     outcome.distance = model.distance_for_rtt(reported);
-    // Same uncertainty floor the simulated fleet uses: calibration
-    // residual vs observed spread (shrunk by best-of-k), never under 5 km.
-    const double spread_km =
-        model
-            .spread_to_distance(Millis{
-                stats.stddev_ms / std::sqrt(static_cast<double>(
-                                      std::max<std::size_t>(stats.count, 1)))})
-            .value;
-    outcome.sigma = Kilometers{
-        std::max({model.distance_sigma().value, spread_km, 5.0})};
+    // Same uncertainty recipe the simulated fleet uses.
+    outcome.sigma = model.range_sigma(stats);
 
     locate::VantageRange range;
     range.vantage = geoloc::Landmark{

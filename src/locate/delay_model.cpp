@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/errors.hpp"
+#include "locate/measurement.hpp"
 #include "net/geo.hpp"
 
 namespace geoproof::locate {
@@ -96,6 +97,16 @@ Kilometers DelayModel::spread_to_distance(Millis rtt_spread) const {
   const double spread = std::abs(rtt_spread.count());
   if (fit_.usable()) return Kilometers{spread / fit_.ms_per_km};
   return distance_covered(Millis{spread / 2.0}, speeds::kLightVacuum);
+}
+
+Kilometers DelayModel::range_sigma(const SampleStats& stats) const {
+  const double spread_km =
+      spread_to_distance(
+          Millis{stats.stddev_ms /
+                 std::sqrt(static_cast<double>(
+                     std::max<std::size_t>(stats.count, 1)))})
+          .value;
+  return Kilometers{std::max({distance_sigma().value, spread_km, 5.0})};
 }
 
 }  // namespace geoproof::locate

@@ -16,6 +16,8 @@
 
 namespace geoproof::locate {
 
+struct SampleStats;  // locate/measurement.hpp
+
 /// One calibration measurement: a known great-circle distance and the RTT
 /// observed over it.
 struct CalibrationPoint {
@@ -75,6 +77,13 @@ class DelayModel {
   /// distance units through the calibrated slope; falls back to the
   /// physical c/2 conversion when uncalibrated.
   Kilometers spread_to_distance(Millis rtt_spread) const;
+
+  /// 1-sigma uncertainty of the distance a vantage reports from one
+  /// min-filtered sample set: the observed spread shrunk by the best-of-k
+  /// depth (stddev / sqrt(count)), floored by the calibration residual
+  /// (distance_sigma) and a 5 km physical floor. The one recipe every
+  /// VantageRange producer uses.
+  Kilometers range_sigma(const SampleStats& stats) const;
 
   bool calibrated() const { return fit_.usable(); }
   const DelayFit& fit_stats() const { return fit_; }

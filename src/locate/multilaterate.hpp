@@ -16,10 +16,20 @@
 // trimmed — instead the residuals, and therefore the confidence radius,
 // inflate: the estimate honestly reports that the fleet cannot pin the
 // prover down.
+//
+// The search: every solve is constrained to the fleet's coverage box —
+// the lat/lon box over the active vantages, padded by 5% of its diagonal
+// plus 200 km. The robust fit is a least-quantile-of-squares (LQS) fit at
+// the 2f+1-of-3f+1 floor: one coarse (grid+1)² LQS scan of the box picks
+// the 5 best cells as candidate basins, and from each, trimmed-LS
+// concentration steps (fit the best-explained 2f+1 vantages by damped
+// Gauss–Newton, re-pick them, repeat until the subset is stable) descend
+// to a local optimum; the lowest LQS cost wins. The final refit is damped
+// weighted Gauss–Newton on the inliers seeded from that optimum, and the
+// error ellipse linearises the same fit at the returned position.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -79,9 +89,10 @@ struct PositionEstimate {
 class Multilaterator {
  public:
   struct Options {
-    /// Grid resolution and refinement depth of the coarse-to-fine search.
+    /// Cells per side of the robust stage's coarse LQS scan of the
+    /// coverage box (grid+1 points per axis; the 5 best seed the local
+    /// descents).
     unsigned grid = 32;
-    unsigned refinements = 5;
     /// A vantage is trimmed when its residual exceeds
     /// max(min_trim, trim_factor · median residual, sigma_factor · sigma).
     double trim_factor = 3.0;
@@ -105,18 +116,17 @@ class Multilaterator {
   const Options& options() const { return options_; }
 
  private:
-  net::GeoPoint grid_search(
-      std::span<const VantageRange> ranges,
-      const std::vector<std::size_t>& active,
-      const std::function<double(const net::GeoPoint&)>& cost) const;
   /// Least-quantile-of-squares fit at the majority floor, used inside the
-  /// trim loop (the best position explaining a 2f+1-of-3f+1 majority).
+  /// trim loop (the best position explaining a 2f+1-of-3f+1 majority):
+  /// coarse scan, then trimmed-LS concentration steps from the best cells.
   net::GeoPoint solve_robust(std::span<const VantageRange> ranges,
                              const std::vector<std::size_t>& active,
                              std::size_t min_inliers) const;
-  /// Weighted least-squares refit on the final inlier set.
+  /// Weighted least-squares refit on the final inlier set: Gauss–Newton
+  /// descent from the robust optimum `seed`.
   net::GeoPoint solve_refine(std::span<const VantageRange> ranges,
-                             const std::vector<std::size_t>& active) const;
+                             const std::vector<std::size_t>& active,
+                             const net::GeoPoint& seed) const;
 
   Options options_;
 };

@@ -1,7 +1,6 @@
 #include "track/position_track.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -57,19 +56,9 @@ std::optional<RelocationAlarm> PositionTrack::commit_sweep(
     locate::VantageRange range;
     range.vantage = state.vantage;
     range.distance = model_.distance_for_rtt(state.window.min());
-    // Same uncertainty recipe as the one-shot fleet sweep: the window's
-    // sample spread shrunk by its depth, floored by the calibration
-    // residual and a 5 km physical floor.
-    const locate::SampleStats stats = state.window.stats();
-    const double spread_km =
-        model_
-            .spread_to_distance(Millis{
-                stats.stddev_ms /
-                std::sqrt(static_cast<double>(
-                    std::max<std::size_t>(stats.count, 1)))})
-            .value;
-    range.sigma = Kilometers{
-        std::max({model_.distance_sigma().value, spread_km, 5.0})};
+    // Same uncertainty recipe as the one-shot fleet sweep, over the
+    // window's samples.
+    range.sigma = model_.range_sigma(state.window.stats());
     ranges.push_back(range);
   }
   if (ranges.size() < options_.min_vantages) return std::nullopt;

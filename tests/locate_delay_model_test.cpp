@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/errors.hpp"
+#include "locate/measurement.hpp"
 #include "net/geo.hpp"
 
 namespace geoproof::locate {
@@ -117,6 +118,24 @@ TEST(DelayModel, SpreadMapsThroughTheSlope) {
   EXPECT_NEAR(model.spread_to_distance(Millis{1.0}).value, 50.0, 1e-6);
   // Uncalibrated: spread maps at c/2 like any other delay.
   EXPECT_NEAR(DelayModel{}.spread_to_distance(Millis{1.0}).value, 150.0, 1e-9);
+}
+
+TEST(DelayModel, RangeSigmaShrinksTheSpreadByDepthAndFloorsIt) {
+  // Exact line at 0.02 ms/km: 1 ms of spread is 50 km, and a perfect fit
+  // contributes no calibration residual.
+  std::vector<CalibrationPoint> points;
+  for (const double d : {100.0, 1000.0, 2000.0, 3000.0}) {
+    points.push_back({Kilometers{d}, Millis{15.0 + 0.02 * d}});
+  }
+  const DelayModel model = DelayModel::fit(points);
+  SampleStats stats;
+  stats.stddev_ms = 2.0;
+  stats.count = 16;  // best-of-16: 2 ms / 4 = 0.5 ms = 25 km
+  EXPECT_NEAR(model.range_sigma(stats).value, 25.0, 1e-9);
+  stats.count = 0;  // treated as one sample: 2 ms = 100 km
+  EXPECT_NEAR(model.range_sigma(stats).value, 100.0, 1e-9);
+  stats.stddev_ms = 0.01;  // 0.5 km of spread: the 5 km floor wins
+  EXPECT_EQ(model.range_sigma(stats).value, 5.0);
 }
 
 }  // namespace
